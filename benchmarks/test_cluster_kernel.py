@@ -104,59 +104,6 @@ def test_event_kernel_throughput():
 
 
 @pytest.mark.benchmark(group="cluster")
-def test_step_time_memoization_delta(reference_trace):
-    """The batch-signature LRU on ``engine_step_time_s``, measured where
-    it pays: serialized single-request steps, whose (tokens, kv_len)
-    signatures repeat across the whole trace.  Both req/s figures and
-    the speedup land in the artifact; the memo must be invisible in the
-    report bytes."""
-    scheduler = SchedulerConfig(max_batch_size=1)
-
-    def run():
-        cluster = ServingCluster(GPT2, initial_replicas=REPLICAS,
-                                 router="round_robin",
-                                 scheduler_config=scheduler, kernel="event")
-        start = time.perf_counter()
-        report = cluster.run(reference_trace)
-        return cluster, report, time.perf_counter() - start
-
-    from repro.serving.engine import DeviceWorker
-
-    memo_cluster, memo_report, memo_wall_s = run()
-    original = DeviceWorker.STEP_TIME_CACHE_SIZE
-    try:
-        DeviceWorker.STEP_TIME_CACHE_SIZE = 0
-        _, cold_report, cold_wall_s = run()
-    finally:
-        DeviceWorker.STEP_TIME_CACHE_SIZE = original
-
-    hits = sum(r.worker.step_cache_hits for r in memo_cluster.replicas)
-    steps = sum(r.worker.steps for r in memo_cluster.replicas)
-    memo_rps = STEP_REQUESTS / memo_wall_s
-    cold_rps = STEP_REQUESTS / cold_wall_s
-    speedup = cold_wall_s / memo_wall_s
-    print(f"\n  memoized: {memo_wall_s:.2f}s ({memo_rps:,.0f} req/s, "
-          f"{hits:,}/{steps:,} step-time hits)")
-    print(f"  cold:     {cold_wall_s:.2f}s ({cold_rps:,.0f} req/s) "
-          f"-> {speedup:.2f}x")
-    serving_artifact.record_cluster(
-        "cluster_kernel_step_memo", memo_report,
-        num_requests_simulated=STEP_REQUESTS,
-        replicas=REPLICAS,
-        wall_s=memo_wall_s,
-        requests_per_sec=memo_rps,
-        cold_requests_per_sec=cold_rps,
-        memo_speedup=speedup,
-        step_cache_hits=hits)
-
-    # Correctness first: memoization must never change a single byte of
-    # the report, and on this workload nearly every step is a hit.
-    assert json.dumps(memo_report.to_dict(), sort_keys=True) \
-        == json.dumps(cold_report.to_dict(), sort_keys=True)
-    assert hits > 0.9 * steps
-
-
-@pytest.mark.benchmark(group="cluster")
 def test_traced_kernel_overhead():
     """Request-lifecycle tracing's cost ceiling: the kernel bench rerun
     with a :class:`Tracer` attached must keep >= 90% of the untraced

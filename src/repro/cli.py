@@ -621,7 +621,12 @@ def _wrap_shared_prefix(trace: List["TimedRequest"], tokens: int,
     ]
 
 
-def _require_kv_for_prefix_cache(args: argparse.Namespace) -> None:
+def _check_trace_and_cache_flags(args: argparse.Namespace) -> None:
+    """Validate the flags ``serve-sim`` and ``serve-cluster`` share."""
+    if args.priority_levels < 1:
+        raise ValueError("--priority-levels must be at least 1")
+    if args.shared_prefix < 0:
+        raise ValueError("--shared-prefix must be non-negative")
     if args.prefix_cache and args.kv_capacity_mb is None:
         raise ValueError(
             "--prefix-cache requires --kv-capacity-mb (the prefix "
@@ -697,7 +702,7 @@ def _run_serve_sim(args: argparse.Namespace) -> int:
 
     config = get_model_config(args.model)
     try:
-        _require_kv_for_prefix_cache(args)
+        _check_trace_and_cache_flags(args)
         kv_config = None
         if args.kv_capacity_mb is not None:
             high, low = args.watermark
@@ -867,7 +872,7 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
 
     config = get_model_config(args.model)
     try:
-        _require_kv_for_prefix_cache(args)
+        _check_trace_and_cache_flags(args)
         if args.scheduler is not None:
             picked = [flag for flag, value in
                       (("--policy", args.policy),

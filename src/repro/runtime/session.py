@@ -27,7 +27,7 @@ from repro.resource.token_model import EqualizationStrategy
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Timing of one generation step."""
+    """Timing of one step of :meth:`InferenceSession.generate`."""
 
     index: int
     kind: str          # "prefill" or "decode"
@@ -74,15 +74,13 @@ class ActiveRequest:
     Created by :meth:`InferenceSession.start_request`.  A scheduler asks
     :meth:`next_work` what the request needs next, folds that slice into an
     engine step (possibly alongside slices of other requests), and calls
-    :meth:`record` with the step's wall-clock duration.  The accumulated
-    :class:`StepRecord` timeline is this request's view of the service it
-    received, whether it ran alone or continuously batched.
+    :meth:`record` once the step completes.  The cursor keeps only its
+    position in the request — no per-step history — so a long-running
+    serving simulation holds O(1) state per resident request.
     """
 
-    def __init__(self, workload: Workload, num_layers: int) -> None:
+    def __init__(self, workload: Workload) -> None:
         self.workload = workload
-        self.steps: List[StepRecord] = []
-        self._num_layers = num_layers
         self._prefilled = 0
         self._generated = 0
         self.prefix_cached_tokens = 0
@@ -122,7 +120,7 @@ class ActiveRequest:
         the first output token — so the skip is capped at ``input_len - 1``.
         Returns the positions actually skipped.
         """
-        if self.steps or self._prefilled or self._generated:
+        if self._prefilled or self._generated:
             raise RuntimeError(
                 f"request {self.workload.label} already started; a prefix "
                 "skip is only valid before the first recorded slice")
@@ -145,7 +143,7 @@ class ActiveRequest:
         straight to decode.  Only valid on a fresh cursor, before any slice
         is recorded.  Returns the positions marked resident.
         """
-        if self.steps or self._prefilled or self._generated:
+        if self._prefilled or self._generated:
             raise RuntimeError(
                 f"request {self.workload.label} already started; imported "
                 "KV is only valid before the first recorded slice")
@@ -184,17 +182,12 @@ class ActiveRequest:
                             emits=chunk == remaining)
         return StepWork("decode", 1, self.workload.input_len + self._generated)
 
-    def record(self, work: StepWork, seconds: float) -> int:
+    def record(self, work: StepWork) -> int:
         """Account one completed slice; returns tokens emitted (0 or 1).
 
         The first output token is emitted when the last prefill chunk
         completes; every decode slice emits one more.
         """
-        self.steps.append(StepRecord(
-            index=len(self.steps), kind=work.kind, tokens=work.tokens,
-            kv_len=work.kv_len, seconds=seconds,
-            kernel_invocations=self._num_layers,
-        ))
         if work.kind == "prefill":
             self._prefilled += work.tokens
             if self._prefilled >= self.workload.input_len:  # == in_prefill
@@ -328,7 +321,7 @@ class InferenceSession:
                 f"request needs {workload.total_tokens} positions but the "
                 f"accelerator was built for max_seq_len={self.max_seq_len}"
             )
-        return ActiveRequest(workload, self.config.num_layers)
+        return ActiveRequest(workload)
 
     def execute_step(self, works: Sequence[StepWork]) -> float:
         """Simulate one engine step over a batch of request slices.
@@ -374,8 +367,12 @@ class InferenceSession:
         # against the growing KV cache — each a singleton engine step.
         while not active.finished:
             work = active.next_work()
-            active.record(work, self.execute_step([work]))
-        result.steps = active.steps
+            seconds = self.execute_step([work])
+            active.record(work)
+            result.steps.append(StepRecord(
+                index=len(result.steps), kind=work.kind, tokens=work.tokens,
+                kv_len=work.kv_len, seconds=seconds,
+                kernel_invocations=self.config.num_layers))
 
         result.kv_cache_bytes = workload.total_tokens * self.kv_bytes_per_token
         return result

@@ -1,10 +1,10 @@
-"""One fleet member: a lifecycle wrapper around a single-device engine.
+"""One fleet member: a lifecycle wrapper around a single-device worker.
 
-An :class:`EngineReplica` owns one :class:`~repro.serving.ServingEngine`
-(``num_devices=1``) together with its private KV block pool and drives the
-engine's step-granular :class:`~repro.serving.engine.DeviceWorker` directly,
-so the cluster can interleave replica steps under a global clock instead of
-running each engine to completion.
+An :class:`EngineReplica` owns one step-granular
+:class:`~repro.serving.engine.DeviceWorker` — the same per-device loop a
+:class:`~repro.serving.ServingEngine` runs — together with its private
+session and KV block pool, so the cluster can interleave replica steps
+under a global clock instead of running each device to completion.
 
 On top of the worker it adds the lifecycle a fleet manager needs:
 
@@ -30,10 +30,14 @@ from typing import List, Optional, Union
 
 from repro.eval.latency import FpgaPerformanceModel
 from repro.models.config import ModelConfig
-from repro.serving.engine import DeviceWorker, ServingEngine
+from repro.runtime.session import InferenceSession
+from repro.serving.engine import DeviceWorker
 from repro.serving.kv_manager import KVCacheConfig
 from repro.serving.metrics import ServingReport, build_report
-from repro.serving.policies.preemption import PreemptionPolicy
+from repro.serving.policies.preemption import (
+    PreemptionPolicy,
+    resolve_preemption_policy,
+)
 from repro.serving.request import ServingRequest
 from repro.serving.scheduler import SchedulerConfig
 
@@ -114,20 +118,15 @@ class EngineReplica:
                  tracer=None) -> None:
         self.replica_id = replica_id
         self.role = resolve_replica_role(role)
-        # The replica owns a real single-device ServingEngine rather than
-        # assembling session/scheduler/policies by hand: the engine's
-        # constructor is the one place the configuration is validated
-        # (fail-fast KV pool sizing, policy resolution), and the loop the
-        # replica drives below is the engine's own DeviceWorker — the same
-        # code path every engine test exercises.
-        self.engine = ServingEngine(config, num_devices=1,
-                                    scheduler_config=scheduler_config,
-                                    performance_model=performance_model,
-                                    kv_config=kv_config,
-                                    preemption=preemption)
-        self.worker = DeviceWorker(replica_id, self.engine.sessions[0],
-                                   self.engine.scheduler_config,
-                                   preemption=self.engine.preemption,
+        # The worker sizes the KV pool through ``manager_for``, which
+        # fails fast on a pool too small for one block.
+        self.worker = DeviceWorker(replica_id,
+                                   InferenceSession(
+                                       config,
+                                       performance_model=performance_model),
+                                   scheduler_config or SchedulerConfig(),
+                                   preemption=resolve_preemption_policy(
+                                       preemption),
                                    kv_config=kv_config,
                                    prefill_only=self.role
                                    is ReplicaRole.PREFILL,
@@ -321,7 +320,7 @@ class EngineReplica:
     # ------------------------------------------------------------------
     def report(self, model_name: str) -> ServingReport:
         """This replica's run folded into a standard serving report."""
-        kv_config = self.engine.kv_config
+        kv_config = self.worker.kv_config
         return build_report(
             model_name, 1, self.requests, [self.worker.device_stats()],
             self.worker.queue_samples, self.worker.kv_samples,

@@ -52,7 +52,7 @@ measure".
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple, Union
 
@@ -146,18 +146,11 @@ class DeviceWorker:
     a replica gracefully.
     """
 
-    # Entries kept in the step-time LRU; 0 disables memoization (the
-    # benchmark suite flips this to measure the cache's req/s delta).
-    STEP_TIME_CACHE_SIZE = 512
-
     def __init__(self, device_id: int, session: InferenceSession,
                  scheduler_config: SchedulerConfig,
                  preemption: PreemptionPolicy,
                  kv_config: Optional[KVCacheConfig] = None,
                  cold_start: bool = False,
-                 queue_samples: Optional[SampleBuffer] = None,
-                 kv_samples: Optional[SampleBuffer] = None,
-                 preemption_events: Optional[List[PreemptionEvent]] = None,
                  prefill_only: bool = False,
                  kv_stream_chunks: int = 1,
                  tracer: Optional[Tracer] = None,
@@ -186,17 +179,12 @@ class DeviceWorker:
         self._prefix_caching = self.manager is not None \
             and self.manager.prefix_cache_enabled
 
-        # Sample sinks; the engine shares one buffer across its devices,
-        # a cluster replica keeps its own.  Queue/KV timelines accumulate
-        # columnar ((device, time, a, b) rows in a grown numpy array);
-        # preemptions stay a typed list — they are rare events, not a
-        # per-step stream.
-        self.queue_samples = queue_samples if queue_samples is not None \
-            else SampleBuffer(4)
-        self.kv_samples = kv_samples if kv_samples is not None \
-            else SampleBuffer(4)
-        self.preemption_events = preemption_events \
-            if preemption_events is not None else []
+        # Queue/KV timelines accumulate columnar ((device, time, a, b)
+        # rows in a grown numpy array); preemptions stay a typed list —
+        # they are rare events, not a per-step stream.
+        self.queue_samples = SampleBuffer(4)
+        self.kv_samples = SampleBuffer(4)
+        self.preemption_events: List[PreemptionEvent] = []
 
         # Every worker starts from a cold device so repeated runs (parameter
         # sweeps, benchmark repetitions) measure the same system.
@@ -235,17 +223,10 @@ class DeviceWorker:
         # hand-offs, which admit at the first chunk).
         self.kv_stall_s = 0.0
         self.kv_stall_steps = 0
-        # Batch-signature LRU over the analytical step-cost model: the
-        # simulator replays identical (tokens, kv_len) batch shapes
-        # constantly, and `engine_step_time_s` is a pure function of the
-        # shape for a fixed config/strategy, so memoizing it is exact.
-        self._step_time_cache: "OrderedDict[tuple, float]" = OrderedDict()
-        self.step_cache_hits = 0
         # Injected slow-node degradation (fault injection): every executed
-        # step's model seconds are multiplied by this factor.  1.0 — the
-        # default — takes a branch-free path, so a fault-free run is
-        # byte-identical to a build without the knob.  Applied *after*
-        # the step-time LRU, which stays keyed on batch shape alone.
+        # step's model seconds are multiplied by this factor.  At 1.0 —
+        # the default — the multiply is skipped, so a fault-free run is
+        # byte-identical to a build without the knob.
         self.step_time_scale = 1.0
 
     # ------------------------------------------------------------------
@@ -544,7 +525,9 @@ class DeviceWorker:
                        if not stream_blocked(request)]
 
         exec_start = self.clock
-        seconds = self._execute_step([work for _, work in entries])
+        seconds = self.session.execute_step([work for _, work in entries])
+        if self.step_time_scale != 1.0:
+            seconds = seconds * self.step_time_scale
         self.clock += seconds
         self.busy_s += seconds
         self.steps += 1
@@ -589,7 +572,7 @@ class DeviceWorker:
                 stage((kind_prefill if work.kind == "prefill"
                        else kind_decode,
                        request.request_id, work.tokens))
-            emitted = request.active.record(work, seconds)
+            emitted = request.active.record(work)
             self.tokens += emitted
             request.tokens_emitted += emitted
             if emitted and request.first_token_s is None:
@@ -678,41 +661,6 @@ class DeviceWorker:
             kv_bytes=kv_bytes, chunk_bytes=chunk_bytes))
         self.handoff_count += 1
         self.value_in_system -= request_value(request)
-
-    def _execute_step(self, works) -> float:
-        """``session.execute_step`` behind the batch-signature LRU.
-
-        The analytical step cost depends only on the batch shape — the
-        ordered ``(tokens, kv_len)`` pairs plus the emitting count — for
-        this worker's fixed config and strategy, so a hit returns the
-        exact float the model would recompute (the key preserves order
-        because float summation order affects the last bits).  Admission
-        already bounds every request to ``max_seq_len``, so skipping the
-        session's overflow check on a hit loses nothing.
-        """
-        size = self.STEP_TIME_CACHE_SIZE
-        if not size:
-            seconds = self.session.execute_step(works)
-            if self.step_time_scale != 1.0:
-                seconds = seconds * self.step_time_scale
-            return seconds
-        key = (tuple((work.tokens, work.kv_len) for work in works),
-               sum(1 for work in works if work.emits))
-        cache = self._step_time_cache
-        seconds = cache.get(key)
-        if seconds is None:
-            seconds = self.session.execute_step(works)
-            cache[key] = seconds
-            if len(cache) > size:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
-            self.step_cache_hits += 1
-        if self.step_time_scale != 1.0:
-            # A degraded node pays the multiplier on the wall clock; the
-            # cache keeps the nominal figure so recovery is exact.
-            seconds = seconds * self.step_time_scale
-        return seconds
 
     def run_to_completion(self) -> None:
         """Step until nothing is pending, waiting or running."""
@@ -858,6 +806,9 @@ class ServingEngine:
                 load.kv_blocks += math.ceil(request.workload.total_tokens
                                             / self.kv_config.block_size)
 
+        # Each worker keeps its own sample buffers; concatenating them in
+        # device order reproduces the row order of one shared sink, so the
+        # report's stable time sort is unchanged.
         devices: List[DeviceStats] = []
         samples = SampleBuffer(4)
         kv_samples = SampleBuffer(4)
@@ -867,14 +818,14 @@ class ServingEngine:
                                   preemption=self.preemption,
                                   kv_config=self.kv_config,
                                   cold_start=self.cold_start,
-                                  queue_samples=samples,
-                                  kv_samples=kv_samples,
-                                  preemption_events=preemptions,
                                   tracer=tracer)
             for request in inbox:
                 worker.submit(request)
             worker.run_to_completion()
             devices.append(worker.device_stats())
+            samples.extend(worker.queue_samples.rows())
+            kv_samples.extend(worker.kv_samples.rows())
+            preemptions.extend(worker.preemption_events)
 
         manifest = build_manifest(
             component="engine", model=self.config.name, requests=requests,

@@ -144,13 +144,13 @@ class TestStepGranularApi:
         active = session.start_request(Workload(16, 3))
         first = active.next_work()
         assert first == StepWork("prefill", 16, 16)
-        assert active.record(first, 0.1) == 1  # prefill emits the first token
+        assert active.record(first) == 1  # prefill emits the first token
         second = active.next_work()
         assert second == StepWork("decode", 1, 17)
-        assert active.record(second, 0.01) == 1
+        assert active.record(second) == 1
         third = active.next_work()
         assert third == StepWork("decode", 1, 18)
-        active.record(third, 0.01)
+        active.record(third)
         assert active.finished
         with pytest.raises(RuntimeError, match="finished"):
             active.next_work()
@@ -160,13 +160,13 @@ class TestStepGranularApi:
         active = session.start_request(Workload(40, 2))
         chunk = active.next_work(token_budget=16)
         assert chunk == StepWork("prefill", 16, 16, emits=False)
-        assert active.record(chunk, 0.1) == 0
+        assert active.record(chunk) == 0
         chunk = active.next_work(token_budget=16)
         assert chunk == StepWork("prefill", 16, 32, emits=False)
-        assert active.record(chunk, 0.1) == 0
+        assert active.record(chunk) == 0
         chunk = active.next_work(token_budget=16)
         assert chunk == StepWork("prefill", 8, 40, emits=True)
-        assert active.record(chunk, 0.1) == 1
+        assert active.record(chunk) == 1
         assert active.tokens_generated == 1
         assert not active.finished
 
@@ -182,18 +182,16 @@ class TestStepGranularApi:
         assert final - silent == pytest.approx(head)
 
     def test_step_records_accumulate(self):
-        session = InferenceSession(GPT2)
-        active = session.start_request(Workload(8, 3))
-        while not active.finished:
-            work = active.next_work()
-            active.record(work, session.execute_step([work]))
-        assert [s.kind for s in active.steps] == ["prefill", "decode", "decode"]
-        assert [s.index for s in active.steps] == [0, 1, 2]
+        result = InferenceSession(GPT2).generate(Workload(8, 3))
+        assert [s.kind for s in result.steps] == ["prefill", "decode", "decode"]
+        assert [s.index for s in result.steps] == [0, 1, 2]
+        assert [s.kernel_invocations for s in result.steps] \
+            == [GPT2.num_layers] * 3
 
-    def test_execute_step_empty_batch_is_free(self):
+    def test_empty_batch_step_is_free(self):
         assert InferenceSession(GPT2).execute_step([]) == 0.0
 
-    def test_execute_step_validates_kv_len(self):
+    def test_step_kv_len_validated(self):
         session = InferenceSession(GPT2, max_seq_len=64)
         with pytest.raises(ValueError, match="max_seq_len"):
             session.execute_step([StepWork("decode", 1, 65)])
@@ -230,7 +228,7 @@ class TestAssumeResident:
         assert active.kv_tokens == 16
         work = active.next_work()
         assert work == StepWork("decode", 1, 16)
-        assert active.record(work, 0.01) == 1
+        assert active.record(work) == 1
 
     def test_resident_tokens_capped_at_prompt(self):
         session = InferenceSession(GPT2)
@@ -240,7 +238,7 @@ class TestAssumeResident:
     def test_rejected_after_start(self):
         session = InferenceSession(GPT2)
         active = session.start_request(Workload(16, 4))
-        active.record(active.next_work(), 0.1)
+        active.record(active.next_work())
         with pytest.raises(RuntimeError, match="already started"):
             active.assume_resident(16)
 

@@ -1,10 +1,12 @@
 """Integration tests for the cluster orchestration loop."""
 
+import gc
 import json
 
 import pytest
 
 from repro.models.config import GPT2
+from repro.runtime.session import StepRecord
 from repro.serving import KVCacheConfig, ServingEngine
 from repro.serving.cluster import (
     AutoscalerConfig,
@@ -279,6 +281,27 @@ class TestAutoscaling:
             poisson_trace(4, 10.0, seed=0))
         assert report.slo_attainment is None
         assert "slo" not in report.to_dict()
+
+
+class TestRetainedState:
+    def test_no_step_records_outlive_a_run(self):
+        """The serving path keeps no per-step history: with the cluster,
+        its replicas and every request cursor still alive after a run,
+        no StepRecord was left behind."""
+
+        def alive():
+            gc.collect()
+            return sum(isinstance(obj, StepRecord)
+                       for obj in gc.get_objects())
+
+        before = alive()
+        cluster = ServingCluster(GPT2, initial_replicas=2)
+        report = cluster.run(poisson_trace(24, 40.0, seed=0))
+        assert report.completed == 24
+        assert all(request.active is not None
+                   for replica in cluster.replicas
+                   for request in replica.requests)
+        assert alive() == before
 
 
 class TestEmptyTraces:

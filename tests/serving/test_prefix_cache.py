@@ -67,7 +67,7 @@ class TestSkipPrefill:
     def test_skip_after_start_rejected(self):
         session = InferenceSession(GPT2)
         active = session.start_request(Workload(64, 8))
-        active.record(active.next_work(token_budget=16), 0.0)
+        active.record(active.next_work(token_budget=16))
         with pytest.raises(RuntimeError, match="already started"):
             active.skip_prefix(16)
 

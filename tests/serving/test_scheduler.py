@@ -23,7 +23,7 @@ def drain_prefill(request: ServingRequest) -> None:
     """Run the request's prefill to completion so it decodes next."""
     while request.active.in_prefill:
         work = request.active.next_work()
-        request.active.record(work, 0.0)
+        request.active.record(work)
 
 
 class TestConfigValidation:
@@ -74,7 +74,7 @@ class TestStepPlanning:
         work = plan.entries[0][1]
         assert work.kind == "prefill"
         assert work.tokens == 32
-        request.active.record(work, 0.0)
+        request.active.record(work)
         # Next step: the request is now running and continues its prefill.
         next_plan = scheduler.plan_step([request], deque())
         assert next_plan.entries[0][1].tokens == 32
@@ -124,7 +124,7 @@ class TestStepPlanning:
             assert kinds[0].kind == "prefill"
             assert kinds[0].tokens == 63  # leftover after the decode token
             for req, work in plan.entries:
-                req.active.record(work, 0.0)
+                req.active.record(work)
 
     def test_empty_queues_empty_plan(self):
         scheduler = ContinuousBatchingScheduler()
@@ -160,7 +160,7 @@ class TestPrefillTokenCap:
                 break
             assert self.prefill_tokens(plan) <= cap
             for req, work in plan.entries:
-                req.active.record(work, 0.0)
+                req.active.record(work)
             running = [r for r in running + plan.admitted
                        if not r.active.finished]
         assert all(not r.active.in_prefill for r in running)

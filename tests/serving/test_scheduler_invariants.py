@@ -92,7 +92,7 @@ def drain(config, requests, manager):
     scheduler = ContinuousBatchingScheduler(config)
     waiting = deque(requests)
     for request in waiting:
-        request.active = ActiveRequest(request.workload, num_layers=1)
+        request.active = ActiveRequest(request.workload)
     running = []
     steps = 0
 
@@ -113,7 +113,7 @@ def drain(config, requests, manager):
         assert len(running) <= config.max_batch_size
 
         for request, work in plan.entries:
-            emitted = request.active.record(work, 0.0)
+            emitted = request.active.record(work)
             request.tokens_emitted += emitted
             if request.active.finished:
                 request.state = RequestState.FINISHED

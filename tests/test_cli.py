@@ -497,6 +497,22 @@ class TestServeClusterCommand:
         assert "--shared-prefix" in capsys.readouterr().err
 
 
+class TestTraceDecorationFlags:
+    """Both serving commands reject out-of-range trace decorations rather
+    than silently treating them as "off"."""
+
+    @pytest.mark.parametrize("command", ["serve-sim", "serve-cluster"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--priority-levels", "0", "--priority-levels must be at least 1"),
+        ("--priority-levels", "-2", "--priority-levels must be at least 1"),
+        ("--shared-prefix", "-5", "--shared-prefix must be non-negative"),
+    ])
+    def test_out_of_range_value_rejected(self, capsys, command, flag, value,
+                                         message):
+        assert main([command, "--requests", "4", flag, value]) == 2
+        assert f"{command}: {message}" in capsys.readouterr().err
+
+
 class TestTraceCommand:
     def _write_trace(self, tmp_path):
         """Record a real Chrome trace via a serve-cluster run."""
