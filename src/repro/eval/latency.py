@@ -77,9 +77,52 @@ class LatencyBreakdown:
 # ----------------------------------------------------------------------
 # StreamTensor accelerator (FPGA)
 # ----------------------------------------------------------------------
-@dataclass
+class _SliceTerms:
+    """One model's per-slice cost terms, hoisted out of the step loop.
+
+    ``decode`` maps a decode slice's ``kv_len`` to its ``(kv, compute)``
+    seconds — the exact floats the per-slice arithmetic produces, so
+    adding them up in slice order gives the same bits.  ``prompt`` does
+    the same for a whole prompt prefilled in one chunk (``tokens ==
+    kv_len``).  Both are keyed by a KV length, so each holds at most
+    ``max_seq_len`` entries.  Other prefill chunks vary in two dimensions
+    and are priced directly.
+    """
+
+    __slots__ = ("weight_time", "kv_hidden", "activation_bytes",
+                 "hbm_bytes_per_s", "ops_per_s", "decode", "prompt", "head")
+
+    def __init__(self, model: "FpgaPerformanceModel",
+                 config: ModelConfig) -> None:
+        self.weight_time = model.weight_bytes(config.layer_params()) / (
+            model.weight_stream_gbs * 1e9)
+        self.kv_hidden = config.kv_hidden_size
+        self.activation_bytes = \
+            model.platform.quantization.activation_bits / 8.0
+        self.hbm_bytes_per_s = model.weight_stream_gbs * 1e9
+        self.ops_per_s = model.effective_ops_per_s
+        self.decode: Dict[int, Tuple[float, float]] = {}
+        self.prompt: Dict[int, Tuple[float, float]] = {}
+        # Emitting-slice count -> LM-head seconds (bounded by batch size).
+        self.head: Dict[int, float] = {}
+
+    def compute(self, config: ModelConfig, tokens: int,
+                kv_len: int) -> Tuple[float, float]:
+        """A slice's ``(kv, compute)`` seconds, computed."""
+        from repro.models.transformer import block_flops
+
+        return (2 * kv_len * self.kv_hidden * self.activation_bytes
+                / self.hbm_bytes_per_s,
+                block_flops(config, tokens, kv_len) / self.ops_per_s)
+
+
+@dataclass(frozen=True)
 class FpgaPerformanceModel:
     """Analytical performance model of a StreamTensor-generated accelerator.
+
+    Frozen: the per-model slice-term tables (see :class:`_SliceTerms`)
+    are only valid while the constants they were computed from stay put;
+    derive a variant with :func:`dataclasses.replace` instead.
 
     Attributes:
         platform: The FPGA card (defaults to the paper's U55C).
@@ -107,6 +150,10 @@ class FpgaPerformanceModel:
     conservative_threshold_fraction: float = 0.08
     conservative_slowdown: float = 1.45
 
+    def __post_init__(self) -> None:
+        # Not a dataclass field, so config snapshots and equality ignore it.
+        object.__setattr__(self, "_slice_terms", {})
+
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
@@ -129,6 +176,12 @@ class FpgaPerformanceModel:
             return EqualizationStrategy.CONSERVATIVE
         return EqualizationStrategy.NORMAL
 
+    def _terms(self, config: ModelConfig) -> _SliceTerms:
+        terms = self._slice_terms.get(config)
+        if terms is None:
+            terms = self._slice_terms[config] = _SliceTerms(self, config)
+        return terms
+
     # ------------------------------------------------------------------
     # Building blocks
     # ------------------------------------------------------------------
@@ -138,27 +191,36 @@ class FpgaPerformanceModel:
         """Execution time of one block invocation shared by a batch of
         ``(tokens, kv_len)`` slices.  Weights stream once; KV traffic and
         compute scale per slice.  The single implementation behind both the
-        single-request and batched engine-step costs."""
-        from repro.models.transformer import block_flops
+        single-request and batched engine-step costs.
 
-        weight_time = self.weight_bytes(config.layer_params()) / (
-            self.weight_stream_gbs * 1e9)
-        activation_bytes = self.platform.quantization.activation_bits / 8.0
-        # One pass over the batch with the per-slice constants hoisted
-        # out of the loop (the property chains were measurably hot on
-        # million-request cluster traces); the arithmetic per slice is
-        # unchanged, so the result is bit-identical to the original
-        # two-genexpr form.
-        kv_hidden = config.kv_hidden_size
-        hbm_bytes_per_s = self.weight_stream_gbs * 1e9
-        ops_per_s = self.effective_ops_per_s
+        Each slice's two terms are added in batch order with an explicit
+        ``+=``: decode slices and whole prompts take theirs from the
+        model's tables, other prefill chunks compute them in place, and
+        either way the floats and their order are those of the plain
+        per-slice loop.  (Builtin ``sum`` over floats is compensated on
+        Python 3.12 and would round differently.)
+        """
+        terms = self._terms(config)
+        decode = terms.decode
+        prompt = terms.prompt
         kv_time = 0.0
         compute_time = 0.0
         for tokens, kv_len in batch:
-            kv_time += 2 * kv_len * kv_hidden * activation_bytes \
-                / hbm_bytes_per_s
-            compute_time += block_flops(config, tokens, kv_len) / ops_per_s
-        steady = max(weight_time + kv_time, compute_time)
+            if tokens == 1:
+                slice_terms = decode.get(kv_len)
+                if slice_terms is None:
+                    slice_terms = decode[kv_len] = terms.compute(
+                        config, 1, kv_len)
+            elif tokens == kv_len:
+                slice_terms = prompt.get(kv_len)
+                if slice_terms is None:
+                    slice_terms = prompt[kv_len] = terms.compute(
+                        config, kv_len, kv_len)
+            else:
+                slice_terms = terms.compute(config, tokens, kv_len)
+            kv_time += slice_terms[0]
+            compute_time += slice_terms[1]
+        steady = max(terms.weight_time + kv_time, compute_time)
         slowdown = (self.conservative_slowdown
                     if strategy is EqualizationStrategy.CONSERVATIVE else 1.0)
         return steady * slowdown + self.per_layer_overhead_s
@@ -202,7 +264,13 @@ class FpgaPerformanceModel:
             return 0.0
         block = self._batched_block_time_s(config, batch, strategy)
         num_emitting = len(batch) if emitting is None else emitting
-        head = self._head_time_s(config, num_emitting) if num_emitting else 0.0
+        head = 0.0
+        if num_emitting:
+            heads = self._terms(config).head
+            head = heads.get(num_emitting)
+            if head is None:
+                head = heads[num_emitting] = self._head_time_s(
+                    config, num_emitting)
         return config.num_layers * block + head + self.per_pass_overhead_s
 
     def lm_head_time_s(self, config: ModelConfig) -> float:

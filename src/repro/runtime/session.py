@@ -16,7 +16,7 @@ this model on the generated accelerator look like?" without owning an FPGA.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.compiler.pipeline import CompilationResult
 from repro.eval.latency import FpgaPerformanceModel
@@ -37,8 +37,7 @@ class StepRecord:
     kernel_invocations: int
 
 
-@dataclass(frozen=True)
-class StepWork:
+class StepWork(NamedTuple):
     """One request's contribution to a single engine step.
 
     A decode slice is ``(kind="decode", tokens=1)``; a prefill slice covers
@@ -48,6 +47,11 @@ class StepWork:
     the slice produces an output token — true for decode and for the final
     prefill chunk, false for mid-prompt chunks, which therefore skip the
     LM head in the step cost.
+
+    A named tuple, not a dataclass: the serving tier plans one per
+    resident per step, and decode slices are shared per ``kv_len`` (see
+    :meth:`ActiveRequest.next_work`), which only an immutable value type
+    allows.
     """
 
     kind: str          # "prefill" or "decode"
@@ -68,6 +72,18 @@ class StepWork:
         return self.kv_len + (1 if self.emits else 0)
 
 
+# Decode slices interned by kv_len: every decode slice at one KV length is
+# the same immutable value, so the cursors hand out one shared tuple
+# instead of building a fresh one per resident per step.  A pure cache:
+# it holds one entry per KV length any request has reached.
+_DECODE_WORK: Dict[int, StepWork] = {}
+
+
+def _decode_work(kv_len: int) -> StepWork:
+    work = _DECODE_WORK[kv_len] = StepWork("decode", 1, kv_len)
+    return work
+
+
 class ActiveRequest:
     """Step-granular cursor over one generation request.
 
@@ -79,8 +95,13 @@ class ActiveRequest:
     serving simulation holds O(1) state per resident request.
     """
 
+    __slots__ = ("workload", "_input_len", "_output_len", "_prefilled",
+                 "_generated", "prefix_cached_tokens")
+
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
+        self._input_len = workload.input_len
+        self._output_len = workload.output_len
         self._prefilled = 0
         self._generated = 0
         self.prefix_cached_tokens = 0
@@ -103,11 +124,19 @@ class ActiveRequest:
 
     @property
     def in_prefill(self) -> bool:
-        return self._prefilled < self.workload.input_len
+        return self._prefilled < self._input_len
 
     @property
     def finished(self) -> bool:
-        return self._generated >= self.workload.output_len
+        return self._generated >= self._output_len
+
+    @staticmethod
+    def in_prefill_of(holder) -> bool:
+        """:attr:`in_prefill` of ``holder.active`` — the scheduler's
+        per-step sort key over its residents, reading the cursor's fields
+        directly instead of through the property."""
+        active = holder.active
+        return active._prefilled < active._input_len
 
     def skip_prefix(self, tokens: int) -> int:
         """Mark the first ``tokens`` prompt positions as already resident.
@@ -168,19 +197,22 @@ class ActiveRequest:
                 nothing is mutated; the engine applies the actual skip via
                 :meth:`skip_prefix` when it admits the request.
         """
-        if self.finished:
+        generated = self._generated
+        if generated >= self._output_len:
             raise RuntimeError(f"request {self.workload.label} already finished")
+        input_len = self._input_len
         prefilled = self._prefilled
         if assume_prefilled is not None:
-            prefilled = max(prefilled, min(assume_prefilled,
-                                           self.workload.input_len - 1))
-        if prefilled < self.workload.input_len:
-            remaining = self.workload.input_len - prefilled
+            prefilled = max(prefilled, min(assume_prefilled, input_len - 1))
+        if prefilled < input_len:
+            remaining = input_len - prefilled
             chunk = remaining if token_budget is None \
                 else max(1, min(remaining, token_budget))
             return StepWork("prefill", chunk, prefilled + chunk,
-                            emits=chunk == remaining)
-        return StepWork("decode", 1, self.workload.input_len + self._generated)
+                            chunk == remaining)
+        kv_len = input_len + generated
+        work = _DECODE_WORK.get(kv_len)
+        return work if work is not None else _decode_work(kv_len)
 
     def record(self, work: StepWork) -> int:
         """Account one completed slice; returns tokens emitted (0 or 1).
@@ -190,7 +222,7 @@ class ActiveRequest:
         """
         if work.kind == "prefill":
             self._prefilled += work.tokens
-            if self._prefilled >= self.workload.input_len:  # == in_prefill
+            if self._prefilled >= self._input_len:  # == not in_prefill
                 self._generated = 1
                 return 1
             return 0
@@ -332,16 +364,22 @@ class InferenceSession:
         :meth:`FpgaPerformanceModel.engine_step_time_s`).  Returns the step's
         wall-clock seconds; an empty batch is free.
         """
-        for work in works:
-            if work.kv_len > self.max_seq_len:
+        max_seq_len = self.max_seq_len
+        batch = []
+        emitting = 0
+        # One pass: validate, build the (tokens, kv_len) batch and count
+        # the slices that emit a token.
+        for _kind, tokens, kv_len, emits in works:
+            if kv_len > max_seq_len:
                 raise ValueError(
-                    f"step needs kv_len={work.kv_len} but the accelerator "
-                    f"was built for max_seq_len={self.max_seq_len}"
+                    f"step needs kv_len={kv_len} but the accelerator "
+                    f"was built for max_seq_len={max_seq_len}"
                 )
-        return self.model.engine_step_time_s(
-            self.config, [(work.tokens, work.kv_len) for work in works],
-            self.strategy,
-            emitting=sum(1 for work in works if work.emits))
+            batch.append((tokens, kv_len))
+            if emits:
+                emitting += 1
+        return self.model.engine_step_time_s(self.config, batch,
+                                             self.strategy, emitting=emitting)
 
     # ------------------------------------------------------------------
     # Generation

@@ -94,8 +94,12 @@ from repro.serving.telemetry import (
     build_manifest,
     telemetry_section,
 )
-from repro.serving.telemetry.tracer import STALL_FLAG
+from repro.serving.telemetry.tracer import FIRST_FLAG, STALL_FLAG
 from repro.serving.workload_gen import TimedRequest
+
+# Lifecycle states the step sets per request, as module globals.
+_RUNNING = RequestState.RUNNING
+_FINISHED = RequestState.FINISHED
 
 # SpanKind values as plain ints: the tracer hooks sit on the engine's
 # hottest loop and an attribute load per span would be measurable.
@@ -103,7 +107,6 @@ _SPAN_PREFILL = int(SpanKind.PREFILL_CHUNK)
 _SPAN_DECODE = int(SpanKind.DECODE)
 _SPAN_BATCH_WAIT = int(SpanKind.BATCH_WAIT)
 _SPAN_KV_STALL = int(SpanKind.KV_STALL)
-_SPAN_FIRST_TOKEN = int(SpanKind.FIRST_TOKEN)
 _SPAN_PREFILL_STALLED = _SPAN_PREFILL + STALL_FLAG
 _SPAN_DECODE_STALLED = _SPAN_DECODE + STALL_FLAG
 
@@ -337,8 +340,10 @@ class DeviceWorker:
         """Iteration-level admission: arrivals become visible at step
         boundaries (for a migrated request, once its KV transfer landed)."""
         manager = self.manager
-        while self.pending and self.pending[0].enqueue_s <= self.clock:
-            request = self.pending.popleft()
+        pending = self.pending
+        clock = self.clock
+        while pending and pending[0].enqueue_s <= clock:
+            request = pending.popleft()
             request.device_id = self.device_id
             # A request whose total positions outgrow the whole block pool
             # could never finish even alone on the device; reject it up
@@ -484,17 +489,19 @@ class DeviceWorker:
                     manager.import_kv(request.request_id, claim)
                 else:
                     manager.claim(request.request_id, claim)
-        for request in plan.admitted:
-            request.state = RequestState.RUNNING
+        admitted = plan.admitted
+        clock = self.clock
+        for request in admitted:
+            request.state = _RUNNING
             if request.admitted_s is None:
-                request.admitted_s = self.clock
-            if tracer is not None:
-                tracer.admitted(request, self.clock, self.device_id)
+                request.admitted_s = clock
             if request.migrated_kv_tokens:
                 self.migrated_in += 1
             if self._prefix_caching:
                 self.prompt_tokens += request.active.workload.input_len
             running.append(request)
+        if tracer is not None and admitted:
+            tracer.admitted(admitted, clock, self.device_id)
 
         # Streamed hand-off deferral: an admitted migrated request whose
         # KV stream has not fully landed by the step's start cannot decode
@@ -503,32 +510,34 @@ class DeviceWorker:
         # the batch.  Only when *every* planned entry is waiting on its
         # stream does the device truly wait on the interconnect; that wait
         # is charged as a stall (busy time) until the earliest landing.
-        # Monolithic hand-offs enqueue at full landing, so entries here
-        # are always ready and the arithmetic stays byte-identical to
-        # PR 5.
-        def stream_blocked(request: ServingRequest) -> bool:
-            ready = request.migration_ready_s
-            return ready is not None and bool(request.migrated_kv_tokens) \
-                and ready > self.clock
-
+        # Monolithic hand-offs enqueue at full landing, so their entries
+        # are always ready here.  A worker that never admitted a hand-off
+        # skips the scan.
         entries = plan.entries
-        if any(stream_blocked(request) for request, _ in entries):
-            if all(stream_blocked(request) for request, _ in entries):
-                first_ready = min(request.migration_ready_s
-                                  for request, _ in entries)
-                stall_s = first_ready - self.clock
-                self.kv_stall_s += stall_s
-                self.kv_stall_steps += 1
-                self.busy_s += stall_s
-                self.clock = first_ready
-            entries = [(request, work) for request, work in entries
-                       if not stream_blocked(request)]
+        if self.migrated_in:
+            def stream_blocked(request: ServingRequest) -> bool:
+                ready = request.migration_ready_s
+                return ready is not None \
+                    and bool(request.migrated_kv_tokens) \
+                    and ready > self.clock
+
+            if any(stream_blocked(request) for request, _ in entries):
+                if all(stream_blocked(request) for request, _ in entries):
+                    first_ready = min(request.migration_ready_s
+                                      for request, _ in entries)
+                    stall_s = first_ready - self.clock
+                    self.kv_stall_s += stall_s
+                    self.kv_stall_steps += 1
+                    self.busy_s += stall_s
+                    self.clock = first_ready
+                entries = [(request, work) for request, work in entries
+                           if not stream_blocked(request)]
 
         exec_start = self.clock
         seconds = self.session.execute_step([work for _, work in entries])
         if self.step_time_scale != 1.0:
             seconds = seconds * self.step_time_scale
-        self.clock += seconds
+        self.clock = clock = exec_start + seconds
         self.busy_s += seconds
         self.steps += 1
 
@@ -536,16 +545,17 @@ class DeviceWorker:
         if tracer is not None:
             # One span per resident per step: executed entries get their
             # chunk span (stall-prefixed via STALL_FLAG if the whole
-            # batch waited on a KV stream) staged inside the record loop
-            # below, deferred entries a KV_STALL, scheduler-skipped
-            # residents a BATCH_WAIT (emitted here, before the record
-            # loop mutates `running`).  Together they tile
-            # [step_start, clock] for every resident — the partition the
-            # latency attribution relies on.  This is the tracing hot
-            # path (one row per resident per step), so rows go onto the
-            # step-compact staging as (kind, request_id, aux) int
-            # triples — the step's times land once in step_meta, and the
-            # flush expands them vectorized.
+            # batch waited on a KV stream, followed by a FIRST_TOKEN
+            # instant via FIRST_FLAG if it emitted the first token)
+            # staged inside the record loop below, deferred entries a
+            # KV_STALL, scheduler-skipped residents a BATCH_WAIT (emitted
+            # here, before the record loop changes `running`).  Together
+            # they tile [step_start, clock] for every resident — the
+            # partition the latency attribution relies on.  This is the
+            # tracing hot path (one row per resident per step), so rows
+            # go onto the step-compact staging as (kind, request_id, aux)
+            # int triples — the step's times land once in step_meta, and
+            # reads expand them vectorized.
             step_list = tracer.step_entries
             staged_before = len(step_list)
             stage = step_list.extend
@@ -567,63 +577,80 @@ class DeviceWorker:
                     if request.request_id not in planned:
                         stage((_SPAN_BATCH_WAIT, request.request_id, 0))
 
+        # The record loop: per-step invariants hoisted, and requests that
+        # finish or hand off leave `running` in one rebuild after it.
+        prefix_caching = self._prefix_caching
+        prefill_only = self.prefill_only
+        first_tokens = 0
+        tokens = 0
+        leaving = []
         for request, work in entries:
+            active = request.active
+            emitted = active.record(work)
+            first = False
+            if emitted:
+                tokens += emitted
+                request.tokens_emitted += emitted
+                if request.first_token_s is None:
+                    first = True
+                    first_tokens += 1
+                    request.first_token_s = clock
+                    slo = request.slo_class
+                    self.ttft_samples.append(
+                        clock, request.ttft_s,
+                        slo.ttft_target_s if slo is not None
+                        else float("inf"),
+                        slo.value if slo is not None else 1.0)
             if stage is not None:
-                stage((kind_prefill if work.kind == "prefill"
-                       else kind_decode,
+                kind = kind_prefill if work.kind == "prefill" \
+                    else kind_decode
+                stage((kind + FIRST_FLAG if first else kind,
                        request.request_id, work.tokens))
-            emitted = request.active.record(work)
-            self.tokens += emitted
-            request.tokens_emitted += emitted
-            if emitted and request.first_token_s is None:
-                request.first_token_s = self.clock
-                if stage is not None:
-                    stage((_SPAN_FIRST_TOKEN, request.request_id, 0))
-                slo = request.slo_class
-                self.ttft_samples.append(
-                    self.clock, request.ttft_s,
-                    slo.ttft_target_s if slo is not None else float("inf"),
-                    slo.value if slo is not None else 1.0)
-            if self._prefix_caching and request.shareable_prefix \
+            if prefix_caching and request.shareable_prefix \
                     and work.kind == "prefill":
                 # The positions this chunk streamed are now resident: full
                 # blocks within the shared prefix become reusable.
                 manager.mark_prefix_computed(
                     request.prefix_group,
-                    min(request.active.prefilled_tokens,
-                        request.prefix_len))
-            if request.active.finished:
-                request.finish_s = self.clock
-                request.state = RequestState.FINISHED
-                running.remove(request)
+                    min(active.prefilled_tokens, request.prefix_len))
+            if active.finished:
+                request.finish_s = clock
+                request.state = _FINISHED
+                leaving.append(request)
                 self.served += 1
                 self.value_in_system -= request_value(request)
-                self.tpot_samples.append(self.clock, request.tpot_s)
+                self.tpot_samples.append(clock, request.tpot_s)
                 if manager is not None:
                     manager.release(request.request_id)
-            elif self.prefill_only and not request.active.in_prefill:
+            elif prefill_only and not active.in_prefill:
                 # Disaggregated hand-off: prefill just completed (the
                 # emitting chunk above set the first token), so the
                 # request leaves this worker with its KV for a decode
                 # replica to continue.
                 self._hand_off(request)
+                leaving.append(request)
+        self.tokens += tokens
+        if leaving:
+            gone = set(leaving)
+            running[:] = [request for request in running
+                          if request not in gone]
 
         if stage is not None:
             staged = (len(step_list) - staged_before) // 3
             if staged:
                 tracer.step_meta.extend((self.device_id, step_start,
-                                         exec_start, self.clock, staged))
-            tracer.flush_batch()
+                                         exec_start, clock, staged))
+            tracer.flush_batch(first_tokens)
 
         # Arrivals during the step sit in `pending` until the next
         # admission sweep but are already queued from the requests' point
         # of view — count them, or depth under-reports congestion.
         arrived = sum(1 for request in self.pending
-                      if request.enqueue_s <= self.clock)
-        self.queue_samples.append(self.device_id, self.clock,
+                      if request.enqueue_s <= clock)
+        self.queue_samples.append(self.device_id, clock,
                                   len(waiting) + arrived, len(running))
         if manager is not None:
-            self.kv_samples.append(self.device_id, self.clock,
+            self.kv_samples.append(self.device_id, clock,
                                    manager.used_blocks, manager.num_blocks)
         return True
 
@@ -635,9 +662,9 @@ class DeviceWorker:
         :class:`HandoffEvent`; the cluster prices the transfer and routes
         the request on.  The request detaches from any prefix group — the
         transfer moves its whole KV, shared rows included, so the decode
-        side never rebuilds it from a cache.
+        side never rebuilds it from a cache.  The caller takes it out of
+        ``running``.
         """
-        self.running.remove(request)
         kv_tokens = request.active.kv_tokens
         kv_bytes = kv_tokens * self.session.kv_bytes_per_token
         num_layers = self.session.config.num_layers

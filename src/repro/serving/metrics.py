@@ -8,7 +8,8 @@ forced a preemption.
 
 Hot-path accumulation is columnar: the engine appends its per-step and
 per-token samples into preallocated-and-grown numpy arrays
-(:class:`SampleBuffer`) and the distribution summaries are computed
+(:class:`SampleBuffer`, which stages a few rows and copies them in
+together) and the distribution summaries are computed
 vectorized at report time (:meth:`LatencyStats.from_values`), so recording
 costs O(1) amortized per sample instead of one python object each — the
 difference between ~100-request and million-request traces.  The report
@@ -32,16 +33,23 @@ from repro.serving.request import ServingRequest
 class SampleBuffer:
     """A growable columnar store of fixed-width float rows.
 
-    The serving tier's hot-path sample sink: ``append`` writes one row
-    into a preallocated ``float64`` array (doubled when full), and the
-    whole run's samples come back as numpy views (:meth:`rows`,
-    :meth:`column`) for vectorized summary.  For the cursor-style readers
-    that predate it (the autoscaler's rolling windows, tests poking at
-    worker feeds) it also reads like a list of row tuples: ``len()``,
-    truthiness, iteration, indexing and slicing all work.
+    The serving tier's hot-path sample sink: ``append`` stages one row
+    tuple, and every :data:`STAGE_ROWS` staged rows are copied into a
+    preallocated ``float64`` array (doubled when full) in one vectorized
+    write.  Every read flushes the staging first, so the whole run's
+    samples come back as numpy views (:meth:`rows`, :meth:`column`) for
+    vectorized summary.  For the cursor-style readers that predate it (the
+    autoscaler's rolling windows, tests poking at worker feeds) it also
+    reads like a list of row tuples: ``len()``, truthiness, iteration,
+    indexing and slicing all work.
     """
 
-    __slots__ = ("_rows", "_size")
+    #: Staged rows that trigger a copy into the array.  Small and fixed:
+    #: a staged row keeps its python floats alive until the copy, so a
+    #: large stage would hold more memory than the array it feeds.
+    STAGE_ROWS = 32
+
+    __slots__ = ("_rows", "_size", "_staged", "_width")
 
     def __init__(self, columns: int, capacity: int = 256) -> None:
         if columns < 1:
@@ -50,28 +58,43 @@ class SampleBuffer:
             raise ValueError("initial capacity must be positive")
         self._rows = np.empty((capacity, columns), dtype=np.float64)
         self._size = 0
+        self._staged: List[Tuple[float, ...]] = []
+        self._width = columns
 
     @property
     def columns(self) -> int:
         """Row width."""
-        return self._rows.shape[1]
+        return self._width
 
     def append(self, *values: float) -> None:
         """Append one row (one positional value per column)."""
-        rows = self._rows
-        if self._size == rows.shape[0]:
-            self._rows = rows = np.concatenate((rows, np.empty_like(rows)))
-        rows[self._size] = values
-        self._size += 1
+        if len(values) != self._width:
+            raise ValueError(
+                f"row has {len(values)} values, the buffer "
+                f"{self._width} columns")
+        staged = self._staged
+        staged.append(values)
+        if len(staged) >= self.STAGE_ROWS:
+            self._flush()
 
     def extend(self, rows: Sequence[Sequence[float]]) -> None:
         """Append a batch of rows at once (the tracer's flush path: one
         vectorized copy instead of a python loop of appends)."""
+        self._flush()
+        self._extend(rows)
+
+    def _flush(self) -> None:
+        staged = self._staged
+        if staged:
+            self._extend(staged)
+            staged.clear()
+
+    def _extend(self, rows: Sequence[Sequence[float]]) -> None:
         count = len(rows)
         if count == 0:
             return
         store = self._rows
-        width = store.shape[1]
+        width = self._width
         needed = self._size + count
         if needed > store.shape[0]:
             capacity = store.shape[0]
@@ -93,16 +116,19 @@ class SampleBuffer:
 
     def rows(self) -> np.ndarray:
         """The filled rows as an ``(n, columns)`` view — no copy."""
+        self._flush()
         return self._rows[:self._size]
 
     def column(self, index: int) -> np.ndarray:
         """One column over the filled rows — no copy."""
+        self._flush()
         return self._rows[:self._size, index]
 
     def __len__(self) -> int:
-        return self._size
+        return self._size + len(self._staged)
 
     def __iter__(self) -> Iterator[Tuple[float, ...]]:
+        self._flush()
         rows = self._rows
         for i in range(self._size):
             yield tuple(rows[i])

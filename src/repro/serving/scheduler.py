@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.runtime.session import StepWork
+from repro.runtime.session import ActiveRequest, StepWork
 from repro.serving.kv_manager import KVBlockManager, PrefixReuse
 from repro.serving.policies.admission import (
     ADMISSION_POLICIES,
@@ -128,6 +128,11 @@ class StepPlan:
         return sum(self.claims.values())
 
 
+# The no-KV (and no-prefix) admission path plans against this one empty
+# reuse instead of building a fresh one per admission.
+_NO_REUSE = PrefixReuse()
+
+
 class ContinuousBatchingScheduler:
     """Plans one engine step at a time over running and waiting requests."""
 
@@ -157,11 +162,14 @@ class ContinuousBatchingScheduler:
             waiting.extend(ordered)
 
         plan = StepPlan()
-        budget = self.config.token_budget
+        entries = plan.entries
+        config = self.config
+        budget = config.token_budget
+        chunked = config.chunked_prefill
         # Hybrid colocation: prefill tokens remaining this step.  The cap
         # resets every plan, so a capped prefill always advances by at
         # least one chunk per step and can never starve.
-        prefill_left = self.config.prefill_token_cap
+        prefill_left = config.prefill_token_cap
         # Idle cached prefix blocks are reclaimable on demand, so they count
         # as free for planning (always 0 without prefix caching).
         free_kv = kv.free_blocks + kv.reclaimable_blocks \
@@ -172,20 +180,19 @@ class ContinuousBatchingScheduler:
         # chunks so a long chunked prefill can never starve the decodes
         # already flowing — that is the whole point of chunking.  The sort
         # is stable, so FIFO order is preserved within each class.
-        for request in sorted(running, key=lambda r: r.active.in_prefill):
+        for request in sorted(running, key=ActiveRequest.in_prefill_of):
             if budget <= 0:
                 break
+            active = request.active
             slice_budget = budget
-            if prefill_left is not None and request.active.in_prefill:
+            if prefill_left is not None and active.in_prefill:
                 if prefill_left <= 0:
                     # Cap exhausted: the resident keeps its slot but its
                     # prefill does not advance this step (this is the
                     # hybrid trade, not starvation — see ``starved``).
                     continue
                 slice_budget = min(budget, prefill_left)
-            work = request.active.next_work(
-                token_budget=slice_budget if self.config.chunked_prefill
-                else None)
+            work = active.next_work(slice_budget if chunked else None)
             # A resident slice always fits: decode costs 1, chunked prefill
             # is clipped to the remaining budget, and unchunked prefill
             # completes in its admission step so never runs here.
@@ -199,14 +206,14 @@ class ContinuousBatchingScheduler:
                 if extra > 0:
                     plan.claims[request.request_id] = extra
                     free_kv -= extra
-            plan.entries.append((request, work))
+            entries.append((request, work))
             budget -= work.tokens
             if prefill_left is not None and work.kind == "prefill":
                 prefill_left -= work.tokens
 
         # Admission from the (policy-ordered) queue head while slots and
         # budget remain; no overtaking — a blocked head blocks the queue.
-        slots = self.config.max_batch_size - len(running)
+        slots = config.max_batch_size - len(running)
         admission_blocked = kv is not None and kv.admission_blocked
         # Held-block growth this plan causes: claims plus idle cached
         # blocks that admissions re-reference (those re-enter "held" too).
@@ -214,7 +221,7 @@ class ContinuousBatchingScheduler:
         groups_planned: Set[str] = set()
         while waiting and slots > 0:
             request = waiting[0]
-            reuse = PrefixReuse()
+            reuse = _NO_REUSE
             # A prefix shorter than one block has no full block to share:
             # such requests take the plain private path untouched.
             if kv is not None and kv.prefix_cache_enabled \
@@ -232,7 +239,7 @@ class ContinuousBatchingScheduler:
                     # skippable.  Head-of-line wait, like any blocked head.
                     break
             work = request.active.next_work(
-                token_budget=budget if self.config.chunked_prefill else None,
+                token_budget=budget if chunked else None,
                 assume_prefilled=reuse.cached_tokens or None)
             if prefill_left is not None and work.kind == "prefill":
                 if prefill_left <= 0:
@@ -246,7 +253,7 @@ class ContinuousBatchingScheduler:
             if work.tokens > budget:
                 # An unchunked prompt larger than the whole budget would
                 # starve forever; give it a dedicated step instead.
-                if plan.entries or budget < self.config.token_budget:
+                if entries or budget < config.token_budget:
                     break
             if kv is not None:
                 # Admission reserves blocks for the whole prompt up front
@@ -262,7 +269,7 @@ class ContinuousBatchingScheduler:
                 # An idle device bypasses the watermark/hysteresis gates:
                 # the head of the queue must always be admissible once the
                 # device drains, or it would starve behind a soft limit.
-                if running or plan.entries:
+                if running or entries:
                     if admission_blocked:
                         break
                     if not kv.within_high_watermark(
@@ -277,7 +284,7 @@ class ContinuousBatchingScheduler:
                     groups_planned.add(request.prefix_group)
             waiting.popleft()
             plan.admitted.append(request)
-            plan.entries.append((request, work))
+            entries.append((request, work))
             budget -= work.tokens
             slots -= 1
             if prefill_left is not None and work.kind == "prefill":

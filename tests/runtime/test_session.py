@@ -155,6 +155,20 @@ class TestStepGranularApi:
         with pytest.raises(RuntimeError, match="finished"):
             active.next_work()
 
+    def test_decode_slices_are_shared_per_kv_len(self):
+        """Every decode slice at one KV length is the same immutable
+        value, so cursors hand out one shared slice."""
+        session = InferenceSession(GPT2)
+        one = session.start_request(Workload(16, 3))
+        other = session.start_request(Workload(17, 2))
+        one.record(one.next_work())
+        other.record(other.next_work())
+        one.record(one.next_work())
+        assert one.next_work() is other.next_work()
+        assert one.next_work() == StepWork("decode", 1, 18)
+        with pytest.raises(AttributeError):
+            one.next_work().kv_len = 5
+
     def test_chunked_prefill_emits_token_only_at_the_end(self):
         session = InferenceSession(GPT2)
         active = session.start_request(Workload(40, 2))

@@ -1,6 +1,9 @@
 """Tests for serving metrics and report assembly."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.workload import Workload
 from repro.serving.metrics import (
@@ -132,6 +135,85 @@ class TestBuildReport:
         assert payload["aggregate_tokens_per_s"] == 0.0
 
 
+# One buffer operation: ("append", row) / ("extend", rows) write; the
+# others read and are compared against the eager reference.
+_VALUES = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _buffer_ops(width):
+    row = st.tuples(*[_VALUES] * width)
+    return st.lists(st.one_of(
+        st.tuples(st.just("append"), row),
+        st.tuples(st.just("extend"), st.lists(row, max_size=40)),
+        st.tuples(st.just("bad_append"), st.integers(0, 3)),
+        st.tuples(st.just("read"), st.sampled_from(
+            ("len", "rows", "column", "iter", "index", "slice")))),
+        max_size=160)
+
+
+class TestSampleBufferStaging:
+    """``append`` stages rows and copies them in every ``STAGE_ROWS``;
+    every read must see exactly what an eager buffer holds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 4))
+    def test_interleaved_ops_match_an_eager_reference(self, data, width):
+        buffer = SampleBuffer(width, capacity=2)
+        reference = np.empty((0, width))
+        for op, arg in data.draw(_buffer_ops(width)):
+            if op == "append":
+                buffer.append(*arg)
+                reference = np.vstack((reference, [arg]))
+            elif op == "extend":
+                buffer.extend(arg)
+                if arg:
+                    reference = np.vstack((reference, arg))
+            elif op == "bad_append":
+                # Wrong width: rejected at once, and nothing is staged.
+                bad = (1.0,) * (width + 1 + arg) if arg % 2 \
+                    else (1.0,) * max(0, width - 1 - arg)
+                if len(bad) == width:
+                    continue
+                with pytest.raises(ValueError):
+                    buffer.append(*bad)
+            elif arg == "len":
+                assert len(buffer) == len(reference)
+                assert bool(buffer) == bool(len(reference))
+            elif arg == "rows":
+                assert np.array_equal(buffer.rows(), reference)
+            elif arg == "column":
+                for column in range(width):
+                    assert np.array_equal(buffer.column(column),
+                                          reference[:, column])
+            elif arg == "iter":
+                assert list(buffer) == [tuple(row) for row in reference]
+            elif arg == "index" and len(reference):
+                assert buffer[-1] == tuple(reference[-1])
+                assert buffer[0] == tuple(reference[0])
+            elif arg == "slice":
+                assert buffer[1:] == [tuple(row) for row in reference[1:]]
+            assert len(buffer._staged) < SampleBuffer.STAGE_ROWS
+        assert np.array_equal(buffer.rows(), reference)
+
+    def test_wrong_width_rejected_before_any_read(self):
+        buffer = SampleBuffer(3)
+        buffer.append(1.0, 2.0, 3.0)
+        with pytest.raises(ValueError):
+            buffer.append(1.0, 2.0)
+        with pytest.raises(ValueError):
+            buffer.append(1.0, 2.0, 3.0, 4.0)
+        assert buffer.rows().tolist() == [[1.0, 2.0, 3.0]]
+
+    def test_staging_flushes_at_the_threshold(self):
+        buffer = SampleBuffer(2)
+        for i in range(SampleBuffer.STAGE_ROWS - 1):
+            buffer.append(float(i), 0.0)
+        assert len(buffer._staged) == SampleBuffer.STAGE_ROWS - 1
+        buffer.append(-1.0, 0.0)
+        assert buffer._staged == []
+        assert len(buffer) == SampleBuffer.STAGE_ROWS
+
+
 class TestSampleBuffer:
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(ValueError, match="column"):
@@ -195,12 +277,15 @@ class TestSampleBuffer:
 
     def test_growth_boundary_at_exact_capacity(self):
         """Filling to exactly the seed capacity must not grow the store;
-        the next append doubles it and keeps every row."""
+        the next append doubles it and keeps every row.  Appends are
+        staged, so each check reads the rows first to copy them in."""
         buffer = SampleBuffer(1, capacity=4)
         for i in range(4):
             buffer.append(float(i))
+        assert len(buffer.rows()) == 4
         assert buffer._rows.shape[0] == 4  # still the seed allocation
         buffer.append(4.0)
+        assert len(buffer.rows()) == 5
         assert buffer._rows.shape[0] == 8
         assert list(buffer.column(0)) == [0.0, 1.0, 2.0, 3.0, 4.0]
 

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.workload import Workload
 from repro.serving.request import ServingRequest
@@ -38,6 +40,7 @@ from repro.serving.telemetry import (
     workload_fingerprint,
     write_chrome_trace,
 )
+from repro.serving.telemetry.tracer import FIRST_FLAG, STALL_FLAG
 
 
 def request(request_id=0, arrival_s=0.0, slo_class=None):
@@ -68,7 +71,7 @@ class TestTracer:
 
     def test_admitted_closes_queue_span_from_enqueue(self):
         tracer = Tracer()
-        tracer.admitted(request(7, arrival_s=1.0), 1.5, lane=0)
+        tracer.admitted([request(7, arrival_s=1.0)], 1.5, lane=0)
         spans = tracer.spans_for(7)
         assert spans[0] == (SpanKind.QUEUE, 1.0, 1.5, 0.0)
         assert spans[1][0] is SpanKind.ADMIT
@@ -77,9 +80,9 @@ class TestTracer:
         """After a preemption the next QUEUE span opens at the eviction
         time and the admission marker is RESUME, not ADMIT."""
         tracer = Tracer()
-        tracer.admitted(request(1, arrival_s=0.0), 0.2, lane=0)
+        tracer.admitted([request(1, arrival_s=0.0)], 0.2, lane=0)
         tracer.preempted(1, 0.6, lane=0)
-        tracer.admitted(request(1, arrival_s=0.0), 0.9, lane=0)
+        tracer.admitted([request(1, arrival_s=0.0)], 0.9, lane=0)
         kinds = [span[0] for span in tracer.spans_for(1)]
         assert kinds == [SpanKind.QUEUE, SpanKind.ADMIT, SpanKind.PREEMPT,
                          SpanKind.QUEUE, SpanKind.RESUME]
@@ -89,14 +92,29 @@ class TestTracer:
     def test_mark_queued_overrides_next_queue_start(self):
         tracer = Tracer()
         tracer.mark_queued(4, 2.0)
-        tracer.admitted(request(4, arrival_s=0.0), 2.5, lane=0)
+        tracer.admitted([request(4, arrival_s=0.0)], 2.5, lane=0)
         assert tracer.spans_for(4)[0] == (SpanKind.QUEUE, 2.0, 2.5, 0.0)
 
     def test_admitted_registers_slo_class(self):
         tracer = Tracer()
-        tracer.admitted(request(2, slo_class=SLO_CLASSES["interactive"]),
+        tracer.admitted([request(2, slo_class=SLO_CLASSES["interactive"])],
                         0.1, lane=0)
         assert tracer.request_classes == {2: "interactive"}
+
+    def test_admitted_takes_a_whole_admission_list(self):
+        """One call per engine step: each request gets its QUEUE span and
+        marker, in list order, as separate calls would stage them."""
+        batched, single = Tracer(), Tracer()
+        batched.preempted(3, 0.4, lane=1)
+        single.preempted(3, 0.4, lane=1)
+        requests = [request(3, arrival_s=0.0), request(5, arrival_s=0.5)]
+        batched.admitted(requests, 1.0, lane=1)
+        for one in requests:
+            single.admitted([one], 1.0, lane=1)
+        assert batched.rows().tolist() == single.rows().tolist()
+        assert [span[0] for span in batched.spans_for(3)][-1] \
+            is SpanKind.RESUME
+        assert batched.spans_for(5)[0] == (SpanKind.QUEUE, 0.5, 1.0, 0.0)
 
     def test_latency_sum_covers_latency_kinds_only(self):
         tracer = Tracer()
@@ -136,6 +154,89 @@ class TestTracer:
     def test_kind_partitions_are_disjoint(self):
         assert not (LATENCY_KINDS & INSTANT_KINDS)
         assert FLEET_LANE < 0
+
+
+class TinyTracer(Tracer):
+    """A tracer that flushes every few spans, so short op sequences
+    cross many flush points."""
+
+    __slots__ = ()
+    FLUSH_THRESHOLD = 3
+
+
+_DECODE = int(SpanKind.DECODE)
+_PREFILL = int(SpanKind.PREFILL_CHUNK)
+
+_tracer_ops = st.lists(st.one_of(
+    st.tuples(st.just("admit"), st.lists(
+        st.tuples(st.integers(0, 12), st.booleans()), max_size=6)),
+    st.tuples(st.just("span"), st.integers(0, 12)),
+    st.tuples(st.just("preempt"), st.integers(0, 12)),
+    st.tuples(st.just("step"), st.lists(
+        st.tuples(st.sampled_from((_DECODE, _PREFILL)), st.integers(0, 12),
+                  st.booleans(), st.booleans()), min_size=1, max_size=5))),
+    max_size=40)
+
+
+class TestCompactStaging:
+    """The compact staging formats must produce exactly the rows, in
+    exactly the order, that per-row staging produces."""
+
+    def test_first_flag_expands_right_after_its_chunk(self):
+        tracer = Tracer()
+        tracer.step_entries.extend((
+            _DECODE + FIRST_FLAG, 7, 1,
+            _DECODE, 8, 1,
+            _PREFILL + STALL_FLAG + FIRST_FLAG, 9, 16))
+        tracer.step_meta.extend((2, 1.0, 1.5, 2.0, 3))
+        tracer.flush_batch(2)
+        assert len(tracer) == 6
+        first, stall = int(SpanKind.FIRST_TOKEN), int(SpanKind.KV_STALL)
+        assert tracer.rows().tolist() == [
+            [_DECODE, 7, 2, 1.5, 2.0, 1],
+            [first, 7, 2, 2.0, 2.0, 0],
+            [_DECODE, 8, 2, 1.5, 2.0, 1],
+            [_PREFILL, 9, 2, 1.5, 2.0, 16],
+            [first, 9, 2, 2.0, 2.0, 0],
+            [stall, 9, 2, 1.0, 1.5, 0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_tracer_ops)
+    def test_batched_admission_matches_per_request_staging(self, ops):
+        """Plain admissions take the compact path; a tracer with a
+        pending re-queue (for a request that never arrives) takes the
+        per-request path for every call.  Rows, their order, flush
+        points and lengths must agree throughout."""
+        fast, slow = TinyTracer(), TinyTracer()
+        slow.mark_queued(-7, 0.0)
+        clock = 0.0
+        for op, arg in ops:
+            clock += 0.25
+            for tracer in (fast, slow):
+                if op == "admit":
+                    tracer.admitted(
+                        [request(rid, arrival_s=rid * 0.01,
+                                 slo_class=SLO_CLASSES["interactive"]
+                                 if classed else None)
+                         for rid, classed in arg], clock, lane=1)
+                elif op == "span":
+                    tracer.span(SpanKind.KV_TRANSFER, clock - 0.1, clock,
+                                request_id=arg)
+                elif op == "preempt":
+                    tracer.preempted(arg, clock, lane=1)
+                else:
+                    firsts = 0
+                    for kind, rid, first, stalled in arg:
+                        firsts += first
+                        tracer.step_entries.extend((
+                            kind + FIRST_FLAG * first
+                            + STALL_FLAG * stalled, rid, 1))
+                    tracer.step_meta.extend((1, clock - 0.2, clock - 0.1,
+                                             clock, len(arg)))
+                    tracer.flush_batch(firsts)
+            assert len(fast) == len(slow)
+        assert fast.rows().tobytes() == slow.rows().tobytes()
+        assert fast.request_classes == slow.request_classes
 
 
 class TestMetricsRegistry:
