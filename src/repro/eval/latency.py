@@ -90,7 +90,7 @@ class _SliceTerms:
     """
 
     __slots__ = ("weight_time", "kv_hidden", "activation_bytes",
-                 "hbm_bytes_per_s", "ops_per_s", "decode", "prompt", "head")
+                 "hbm_bytes_per_s", "ops_per_s", "decode", "prompt")
 
     def __init__(self, model: "FpgaPerformanceModel",
                  config: ModelConfig) -> None:
@@ -103,8 +103,6 @@ class _SliceTerms:
         self.ops_per_s = model.effective_ops_per_s
         self.decode: Dict[int, Tuple[float, float]] = {}
         self.prompt: Dict[int, Tuple[float, float]] = {}
-        # Emitting-slice count -> LM-head seconds (bounded by batch size).
-        self.head: Dict[int, float] = {}
 
     def compute(self, config: ModelConfig, tokens: int,
                 kv_len: int) -> Tuple[float, float]:
@@ -264,13 +262,7 @@ class FpgaPerformanceModel:
             return 0.0
         block = self._batched_block_time_s(config, batch, strategy)
         num_emitting = len(batch) if emitting is None else emitting
-        head = 0.0
-        if num_emitting:
-            heads = self._terms(config).head
-            head = heads.get(num_emitting)
-            if head is None:
-                head = heads[num_emitting] = self._head_time_s(
-                    config, num_emitting)
+        head = self._head_time_s(config, num_emitting) if num_emitting else 0.0
         return config.num_layers * block + head + self.per_pass_overhead_s
 
     def lm_head_time_s(self, config: ModelConfig) -> float:

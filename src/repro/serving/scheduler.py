@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.runtime.session import ActiveRequest, StepWork
+from repro.runtime.session import StepWork, resident_in_prefill
 from repro.serving.kv_manager import KVBlockManager, PrefixReuse
 from repro.serving.policies.admission import (
     ADMISSION_POLICIES,
@@ -180,7 +180,7 @@ class ContinuousBatchingScheduler:
         # chunks so a long chunked prefill can never starve the decodes
         # already flowing — that is the whole point of chunking.  The sort
         # is stable, so FIFO order is preserved within each class.
-        for request in sorted(running, key=ActiveRequest.in_prefill_of):
+        for request in sorted(running, key=resident_in_prefill):
             if budget <= 0:
                 break
             active = request.active

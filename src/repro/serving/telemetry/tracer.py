@@ -15,12 +15,12 @@ constraints, in order:
 
 * **Cheap when present.**  The hot path is one ``list.extend`` of a few
   scalars onto a flat staging list — no long-lived per-span object at
-  all.  The engine's per-resident rows and the admission rows use
-  compact formats (a few ints per row, the shared times once per step
-  or per call).  Every ~8k spans the staging is flushed into compact
-  numpy chunks; a read expands them, vectorized, into one six-column
-  array (kind, request, lane, start, end, aux), and span counts need no
-  expansion at all.  The 50k-request kernel benchmark asserts the
+  all.  The engine's per-resident rows use a step-compact format (three
+  ints per row, the step's times once per step).  Every ~8k spans the
+  staging is flushed (one ``np.fromiter`` per list, the step-compact
+  rows expanded vectorized) into a six-column
+  :class:`~repro.serving.metrics.SampleBuffer` (kind, request, lane,
+  start, end, aux).  The 50k-request kernel benchmark asserts the
   end-to-end overhead stays under 10%.
 
 * **A partition, not a pile.**  For every finished request the spans of
@@ -39,11 +39,11 @@ exactly one event-materialization path in the serving tier.
 from __future__ import annotations
 
 import enum
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.serving.metrics import SampleBuffer
 from repro.serving.request import ServingRequest
 from repro.serving.telemetry.registry import MetricsRegistry
 
@@ -97,131 +97,15 @@ _DECODE = int(SpanKind.DECODE)
 _KV_STALL = int(SpanKind.KV_STALL)
 _FIRST_TOKEN = int(SpanKind.FIRST_TOKEN)
 
-_NUM_KINDS = len(SpanKind)
-
-_SLO_CLASS = attrgetter("slo_class")
-_REQUEST_ID = attrgetter("request_id")
-
 #: Added to a chunk kind in the step-compact staging format to mark that
-#: the whole batch stalled on a KV stream first — a read expands the
+#: the whole batch stalled on a KV stream first — the flush expands the
 #: row into a KV_STALL prefix plus the chunk span.
 STALL_FLAG = 16
 
 #: Added to a chunk kind in the step-compact staging format to mark that
-#: the chunk emitted the request's first token — a read expands the
+#: the chunk emitted the request's first token — the flush expands the
 #: row into the chunk span followed by its FIRST_TOKEN instant.
 FIRST_FLAG = 32
-
-
-def _kind_counts(kinds: np.ndarray) -> np.ndarray:
-    return np.bincount(kinds.astype(np.intp), minlength=_NUM_KINDS)
-
-
-class _StagedChunk:
-    """One flush of the flat staging: its six-column rows, plus the
-    admissions staged compactly since the last flush — each call's
-    ``(row position, lane, now, n)`` and one request id and queue start
-    per admission.  :meth:`expand` inserts each admission's QUEUE + ADMIT
-    rows at its call's position, where per-request staging puts them."""
-
-    __slots__ = ("rows", "calls", "ids", "starts")
-
-    def __init__(self, rows: np.ndarray, calls: np.ndarray,
-                 ids: np.ndarray, starts: np.ndarray) -> None:
-        self.rows = rows
-        self.calls = calls
-        self.ids = ids
-        self.starts = starts
-
-    def __len__(self) -> int:
-        return len(self.rows) + 2 * len(self.ids)
-
-    def kind_counts(self) -> np.ndarray:
-        counts = _kind_counts(self.rows[:, 0])
-        counts[_QUEUE] += len(self.ids)
-        counts[_ADMIT] += len(self.ids)
-        return counts
-
-    def expand(self) -> np.ndarray:
-        if not len(self.ids):
-            return self.rows
-        calls = self.calls[np.repeat(np.arange(len(self.calls)),
-                                     self.calls[:, 3].astype(np.intp))]
-        admissions = np.zeros((2 * len(self.ids), 6))
-        queue, marker = admissions[0::2], admissions[1::2]
-        queue[:, 0] = _QUEUE
-        queue[:, 3] = self.starts
-        marker[:, 0] = _ADMIT
-        marker[:, 3] = calls[:, 2]
-        for half in (queue, marker):
-            half[:, 1] = self.ids
-            half[:, 2] = calls[:, 1]
-            half[:, 4] = calls[:, 2]
-        return np.insert(self.rows,
-                         np.repeat(calls[:, 0].astype(np.intp), 2),
-                         admissions, axis=0)
-
-
-class _StepChunk:
-    """One flush of the step-compact staging: the per-step records
-    ``(lane, step_start, exec_start, clock, n)`` and the per-resident
-    ``(kind, request_id, aux)`` triples.  :meth:`expand` turns them into
-    rows, a flagged triple into two."""
-
-    __slots__ = ("steps", "triples")
-
-    def __init__(self, steps: np.ndarray, triples: np.ndarray) -> None:
-        self.steps = steps
-        self.triples = triples
-
-    def _flags(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        flags = self.triples[:, 0]
-        return (flags & (STALL_FLAG - 1), (flags & STALL_FLAG) != 0,
-                (flags & FIRST_FLAG) != 0)
-
-    def __len__(self) -> int:
-        _kind, stalled, first = self._flags()
-        return len(self.triples) + int(stalled.sum()) + int(first.sum())
-
-    def kind_counts(self) -> np.ndarray:
-        kind, stalled, first = self._flags()
-        counts = _kind_counts(kind)
-        counts[_KV_STALL] += int(stalled.sum())
-        counts[_FIRST_TOKEN] += int(first.sum())
-        return counts
-
-    def expand(self) -> np.ndarray:
-        triples = self.triples
-        kind, stalled, first = self._flags()
-        # Each triple's step record.
-        step = self.steps[np.repeat(np.arange(len(self.steps)),
-                                    self.steps[:, 4].astype(np.intp))]
-        # Chunk spans run [exec_start, clock]; everything else
-        # (BATCH_WAIT, deferred KV_STALL) tiles the whole step
-        # [step_start, clock].
-        chunk = (kind == _PREFILL) | (kind == _DECODE)
-        start = np.where(chunk, step[:, 2], step[:, 1])
-        rows = np.column_stack((kind, triples[:, 1], step[:, 0], start,
-                                step[:, 3], triples[:, 2]))
-        if first.any():
-            # Each first-token chunk is followed by its FIRST_TOKEN
-            # instant at the step's end.
-            at = np.arange(len(rows)) + np.cumsum(first) - first
-            instants = rows[first]
-            instants[:, 0] = _FIRST_TOKEN
-            instants[:, 3] = instants[:, 4]
-            instants[:, 5] = 0.0
-            expanded = np.empty((len(rows) + len(instants), 6))
-            expanded[at] = rows
-            expanded[at[first] + 1] = instants
-            rows = expanded
-        if stalled.any():
-            count = int(stalled.sum())
-            rows = np.vstack((rows, np.column_stack((
-                np.full(count, float(_KV_STALL)),
-                triples[stalled, 1], step[stalled, 0],
-                step[stalled, 1], step[stalled, 2], np.zeros(count)))))
-        return rows
 
 
 class Tracer:
@@ -236,9 +120,8 @@ class Tracer:
     FLUSH_THRESHOLD = 8192
 
     __slots__ = ("metrics", "metrics_interval_s", "_staged", "_flush_at",
-                 "_admit_calls", "_admit_ids", "_admit_starts",
                  "_step_meta", "_step_entries", "_entry_flush_at",
-                 "_first_flags", "_chunks", "_queued_since", "_preempted",
+                 "_first_flags", "_buffer", "_queued_since", "_preempted",
                  "request_classes", "_kernel_log")
 
     def __init__(self, metrics_interval_s: float = 0.25) -> None:
@@ -247,28 +130,18 @@ class Tracer:
         #: Flat staging list: six scalars per span, no per-span object.
         self._staged: List[float] = []
         self._flush_at = self.FLUSH_THRESHOLD * 6
-        #: Admission-compact staging (see :meth:`admitted`): one
-        #: (staged rows, lane, now, n) record per call, and one request id
-        #: and queue start per admission.  Each admission counts as the
-        #: 12 floats it stands for in the flat staging, so flush points
-        #: match per-request staging.
-        self._admit_calls: List[float] = []
-        self._admit_ids: List[int] = []
-        self._admit_starts: List[float] = []
         #: Step-compact staging for the engine's per-step hot loop: one
         #: (lane, step_start, exec_start, clock, n) record per step and
         #: three ints (kind, request_id, aux) per resident — no per-row
-        #: float references kept alive, half the staging volume.
-        #: Reads expand them to full rows vectorized (np.repeat).
+        #: float references kept alive, half the staging volume.  The
+        #: flush expands them to full rows vectorized (np.repeat).
         self._step_meta: List[float] = []
         self._step_entries: List[float] = []
         self._entry_flush_at = self.FLUSH_THRESHOLD * 3
         #: FIRST_FLAG triples staged since the last flush; each counts
-        #: toward the flush threshold as the extra row it expands to.
+        #: toward the flush threshold as the extra triple it stands for.
         self._first_flags = 0
-        #: Flushed spans in flush order: compact chunks that
-        #: :meth:`rows` expands and joins into one (n, 6) array.
-        self._chunks: list = []
+        self._buffer = SampleBuffer(6, capacity=self.FLUSH_THRESHOLD)
         self._queued_since: Dict[int, float] = {}
         self._preempted: set = set()
         self.request_classes: Dict[int, str] = {}
@@ -278,13 +151,10 @@ class Tracer:
         """Drop all recorded state; keep the kernel-log on/off setting."""
         self.metrics = MetricsRegistry()
         self._staged = []
-        self._admit_calls = []
-        self._admit_ids = []
-        self._admit_starts = []
         self._step_meta = []
         self._step_entries = []
         self._first_flags = 0
-        self._chunks = []
+        self._buffer = SampleBuffer(6, capacity=self.FLUSH_THRESHOLD)
         self._queued_since = {}
         self._preempted = set()
         self.request_classes = {}
@@ -300,7 +170,7 @@ class Tracer:
         """Record one duration span (one list-extend; batched flush)."""
         staged = self._staged
         staged.extend((kind, request_id, lane, start_s, end_s, aux))
-        if len(staged) + 12 * len(self._admit_ids) >= self._flush_at:
+        if len(staged) >= self._flush_at:
             self._flush()
 
     def instant(self, kind: int, time_s: float, request_id: int = -1,
@@ -330,42 +200,61 @@ class Tracer:
         many of the batch's :attr:`step_entries` triples carry
         :data:`FIRST_FLAG`."""
         self._first_flags += first_tokens
-        if len(self._staged) + 12 * len(self._admit_ids) \
-                >= self._flush_at \
+        if len(self._staged) >= self._flush_at \
                 or len(self._step_entries) + 3 * self._first_flags \
                 >= self._entry_flush_at:
             self._flush()
 
     def _flush(self) -> None:
-        """Move the staging lists into one compact chunk each (numpy
-        arrays, expanded into rows only when read)."""
         self._first_flags = 0
         staged = self._staged
-        ids = self._admit_ids
-        if staged or ids:
-            calls = self._admit_calls
-            starts = self._admit_starts
-            self._chunks.append(_StagedChunk(
-                np.fromiter(staged, dtype=np.float64,
-                            count=len(staged)).reshape(-1, 6),
-                np.fromiter(calls, dtype=np.float64,
-                            count=len(calls)).reshape(-1, 4),
-                np.fromiter(ids, dtype=np.float64, count=len(ids)),
-                np.fromiter(starts, dtype=np.float64, count=len(starts))))
+        if staged:
+            self._buffer.extend(np.fromiter(
+                staged, dtype=np.float64,
+                count=len(staged)).reshape(-1, 6))
             staged.clear()
-            calls.clear()
-            ids.clear()
-            starts.clear()
         entries = self._step_entries
         if entries:
-            meta = self._step_meta
-            self._chunks.append(_StepChunk(
-                np.fromiter(meta, dtype=np.float64,
-                            count=len(meta)).reshape(-1, 5),
-                np.fromiter(entries, dtype=np.int64,
-                            count=len(entries)).reshape(-1, 3)))
-            meta.clear()
+            meta = np.fromiter(
+                self._step_meta, dtype=np.float64,
+                count=len(self._step_meta)).reshape(-1, 5)
+            flat = np.fromiter(
+                entries, dtype=np.int64,
+                count=len(entries)).reshape(-1, 3)
+            self._step_meta.clear()
             entries.clear()
+            # Each triple's step record: (lane, step_start, exec_start,
+            # clock, n).
+            step = np.repeat(meta, meta[:, 4].astype(np.intp), axis=0)
+            flags = flat[:, 0]
+            kind = flags & (STALL_FLAG - 1)
+            stalled = (flags & STALL_FLAG) != 0
+            first = (flags & FIRST_FLAG) != 0
+            # Chunk spans run [exec_start, clock]; everything else
+            # (BATCH_WAIT, deferred KV_STALL) tiles the whole step
+            # [step_start, clock].
+            chunk = (kind == _PREFILL) | (kind == _DECODE)
+            start = np.where(chunk, step[:, 2], step[:, 1])
+            rows = np.column_stack((kind, flat[:, 1], step[:, 0], start,
+                                    step[:, 3], flat[:, 2]))
+            if first.any():
+                # Each first-token chunk is followed by its FIRST_TOKEN
+                # instant at the step's end: repeat the row, then turn
+                # the copy into the instant.
+                rows = np.repeat(rows, first + 1, axis=0)
+                instants = np.flatnonzero(first) \
+                    + np.arange(1, int(first.sum()) + 1)
+                rows[instants, 0] = _FIRST_TOKEN
+                rows[instants, 3] = rows[instants, 4]
+                rows[instants, 5] = 0.0
+            if stalled.any():
+                count = int(stalled.sum())
+                rows = np.vstack((rows, np.column_stack((
+                    np.full(count, float(_KV_STALL)),
+                    flat[stalled, 1], step[stalled, 0],
+                    step[stalled, 1], step[stalled, 2],
+                    np.zeros(count)))))
+            self._buffer.extend(rows)
 
     # ------------------------------------------------------------------
     # Lifecycle helpers (the queue/preempt bookkeeping lives here so the
@@ -379,24 +268,8 @@ class Tracer:
         A queue span opens at the most recent of: preemption time (via
         :meth:`mark_queued`), KV-landing time, or arrival — exactly the
         request's ``enqueue_s`` semantics — so repeated admit/preempt
-        cycles tile the timeline without overlap.
-
-        The common call — no request preempted, re-queued or classed, and
-        no flush due — stages just each request's id and ``enqueue_s``;
-        the QUEUE + ADMIT rows are built when read, at the place the
-        per-request path below would have staged them."""
+        cycles tile the timeline without overlap."""
         staged = self._staged
-        ids = self._admit_ids
-        if not self._queued_since and not self._preempted \
-                and len(staged) + 12 * (len(ids) + len(requests)) \
-                < self._flush_at \
-                and not any(map(_SLO_CLASS, requests)):
-            self._admit_calls.extend((len(staged) // 6, lane, now,
-                                      len(requests)))
-            ids.extend(map(_REQUEST_ID, requests))
-            self._admit_starts.extend([request.enqueue_s
-                                       for request in requests])
-            return
         queued_since = self._queued_since
         preempted = self._preempted
         classes = self.request_classes
@@ -412,7 +285,7 @@ class Tracer:
             else:
                 staged.extend((_QUEUE, rid, lane, start, now, 0.0,
                                _ADMIT, rid, lane, now, now, 0.0))
-            if len(staged) + 12 * len(ids) >= self._flush_at:
+            if len(staged) >= self._flush_at:
                 self._flush()
             slo_class = request.slo_class
             if slo_class is not None:
@@ -446,27 +319,13 @@ class Tracer:
             staged_steps += sum(bool(kind & STALL_FLAG)
                                 + bool(kind & FIRST_FLAG)
                                 for kind in entries[0::3])
-        return sum(len(chunk) for chunk in self._chunks) \
-            + len(self._staged) // 6 + 2 * len(self._admit_ids) \
-            + staged_steps
+        return len(self._buffer) + len(self._staged) // 6 + staged_steps
 
     def rows(self):
-        """All spans as an ``(n, 6)`` float array: (kind, request, lane,
+        """All spans as an ``(n, 6)`` float view: (kind, request, lane,
         start_s, end_s, aux)."""
         self._flush()
-        chunks = self._chunks
-        if len(chunks) != 1 or not isinstance(chunks[0], np.ndarray):
-            # Expand one chunk at a time straight into the joined array,
-            # so at most one chunk's rows exist twice.
-            joined = np.empty((sum(len(chunk) for chunk in chunks), 6))
-            at = 0
-            for chunk in chunks:
-                rows = chunk if isinstance(chunk, np.ndarray) \
-                    else chunk.expand()
-                joined[at:at + len(rows)] = rows
-                at += len(rows)
-            chunks[:] = [joined]
-        return chunks[0]
+        return self._buffer.rows()
 
     def sorted_tuples(self) -> List[Tuple[float, ...]]:
         """All spans as sorted row tuples — the canonical form the
@@ -494,14 +353,9 @@ class Tracer:
 
     def span_counts(self) -> Dict[str, int]:
         """Span count per kind name (only kinds that occurred)."""
-        self._flush()
-        counts = np.zeros(_NUM_KINDS, dtype=np.intp)
-        for chunk in self._chunks:
-            counts += _kind_counts(chunk[:, 0]) \
-                if isinstance(chunk, np.ndarray) else chunk.kind_counts()
-        return dict(sorted(
-            (SpanKind(kind).name, int(counts[kind]))
-            for kind in np.flatnonzero(counts).tolist()))
+        counts = np.bincount(self.rows()[:, 0].astype(np.intp))
+        return dict(sorted((SpanKind(kind).name, int(counts[kind]))
+                           for kind in np.flatnonzero(counts).tolist()))
 
     # ------------------------------------------------------------------
     # Event-kernel pop log (the one materialization path — the legacy

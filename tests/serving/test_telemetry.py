@@ -178,9 +178,9 @@ _tracer_ops = st.lists(st.one_of(
     max_size=40)
 
 
-class TestCompactStaging:
-    """The compact staging formats must produce exactly the rows, in
-    exactly the order, that per-row staging produces."""
+class TestStepStaging:
+    """The step-compact staging format must produce exactly the rows that
+    per-row staging produces."""
 
     def test_first_flag_expands_right_after_its_chunk(self):
         tracer = Tracer()
@@ -202,41 +202,68 @@ class TestCompactStaging:
 
     @settings(max_examples=200, deadline=None)
     @given(ops=_tracer_ops)
-    def test_batched_admission_matches_per_request_staging(self, ops):
-        """Plain admissions take the compact path; a tracer with a
-        pending re-queue (for a request that never arrives) takes the
-        per-request path for every call.  Rows, their order, flush
-        points and lengths must agree throughout."""
-        fast, slow = TinyTracer(), TinyTracer()
-        slow.mark_queued(-7, 0.0)
+    def test_staging_matches_eager_rows(self, ops):
+        """Across many flush points, the staged spans (admissions,
+        preemptions, plain spans and flagged step-compact triples) read
+        back as exactly the rows built eagerly per span, and the length
+        counts staged rows as the rows they expand to."""
+        tracer = TinyTracer()
+        first_token = int(SpanKind.FIRST_TOKEN)
+        kv_stall = int(SpanKind.KV_STALL)
+        expected = []
+        preempted, queued_since = set(), {}
         clock = 0.0
         for op, arg in ops:
             clock += 0.25
-            for tracer in (fast, slow):
-                if op == "admit":
-                    tracer.admitted(
-                        [request(rid, arrival_s=rid * 0.01,
-                                 slo_class=SLO_CLASSES["interactive"]
-                                 if classed else None)
-                         for rid, classed in arg], clock, lane=1)
-                elif op == "span":
-                    tracer.span(SpanKind.KV_TRANSFER, clock - 0.1, clock,
-                                request_id=arg)
-                elif op == "preempt":
-                    tracer.preempted(arg, clock, lane=1)
-                else:
-                    firsts = 0
-                    for kind, rid, first, stalled in arg:
-                        firsts += first
-                        tracer.step_entries.extend((
-                            kind + FIRST_FLAG * first
-                            + STALL_FLAG * stalled, rid, 1))
-                    tracer.step_meta.extend((1, clock - 0.2, clock - 0.1,
-                                             clock, len(arg)))
-                    tracer.flush_batch(firsts)
-            assert len(fast) == len(slow)
-        assert fast.rows().tobytes() == slow.rows().tobytes()
-        assert fast.request_classes == slow.request_classes
+            if op == "admit":
+                requests = [request(rid, arrival_s=rid * 0.01,
+                                    slo_class=SLO_CLASSES["interactive"]
+                                    if classed else None)
+                            for rid, classed in arg]
+                tracer.admitted(requests, clock, lane=1)
+                for one in requests:
+                    rid = one.request_id
+                    marker = SpanKind.RESUME if rid in preempted \
+                        else SpanKind.ADMIT
+                    preempted.discard(rid)
+                    expected += [
+                        (int(SpanKind.QUEUE), rid, 1,
+                         queued_since.pop(rid, one.enqueue_s), clock, 0),
+                        (int(marker), rid, 1, clock, clock, 0)]
+            elif op == "span":
+                tracer.span(SpanKind.KV_TRANSFER, clock - 0.1, clock,
+                            request_id=arg)
+                expected.append((int(SpanKind.KV_TRANSFER), arg, -1,
+                                 clock - 0.1, clock, 0))
+            elif op == "preempt":
+                tracer.preempted(arg, clock, lane=1)
+                preempted.add(arg)
+                queued_since[arg] = clock
+                expected.append((int(SpanKind.PREEMPT), arg, 1, clock,
+                                 clock, 0))
+            else:
+                firsts = 0
+                for kind, rid, first, stalled in arg:
+                    firsts += first
+                    tracer.step_entries.extend((
+                        kind + FIRST_FLAG * first + STALL_FLAG * stalled,
+                        rid, 1))
+                    expected.append((kind, rid, 1, clock - 0.1, clock, 1))
+                    if first:
+                        expected.append((first_token, rid, 1, clock, clock,
+                                         0))
+                    if stalled:
+                        expected.append((kv_stall, rid, 1, clock - 0.2,
+                                         clock - 0.1, 0))
+                tracer.step_meta.extend((1, clock - 0.2, clock - 0.1,
+                                         clock, len(arg)))
+                tracer.flush_batch(firsts)
+            assert len(tracer) == len(expected)
+        assert sorted(map(tuple, tracer.rows().tolist())) \
+            == sorted(tuple(map(float, row)) for row in expected)
+        assert tracer.request_classes == {
+            rid: "interactive" for op, arg in ops if op == "admit"
+            for rid, classed in arg if classed}
 
 
 class TestMetricsRegistry:
